@@ -105,18 +105,19 @@ func NewApp(topo *Topology, opts ...Option) (*App, error) {
 		return nil, err
 	}
 	live, err := engine.NewLive(engine.LiveConfig{
-		Topology:       topo,
-		Placement:      place,
-		Policies:       policies,
-		SourcePolicy:   src,
-		SourceGrouping: o.sourceGrouping,
-		SourceKeyField: o.sourceKeyField,
-		SketchCapacity: o.sketchCapacity,
-		MaxInFlight:    o.maxInFlight,
-		MaxBuffered:    o.maxBuffered,
-		TCPTransport:   o.tcpTransport,
-		KeySplitting:   o.keySplitting,
-		ActiveServers:  activeMask,
+		Topology:        topo,
+		Placement:       place,
+		Policies:        policies,
+		SourcePolicy:    src,
+		SourceGrouping:  o.sourceGrouping,
+		SourceKeyField:  o.sourceKeyField,
+		SketchCapacity:  o.sketchCapacity,
+		MaxInFlight:     o.maxInFlight,
+		MaxBuffered:     o.maxBuffered,
+		TCPTransport:    o.tcpTransport,
+		WireCompression: o.wireCompression,
+		KeySplitting:    o.keySplitting,
+		ActiveServers:   activeMask,
 	})
 	if err != nil {
 		return nil, err

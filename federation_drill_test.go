@@ -7,8 +7,14 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/locastream/locastream/internal/transport"
 	"github.com/locastream/locastream/internal/workload"
 )
+
+// withWireCompression selects the TCP transport's data-frame encoding.
+func withWireCompression(c transport.Compression) Option {
+	return optionFunc(func(o *options) { o.wireCompression = c })
+}
 
 // federationTopo is the cross-region pipeline: users feed topics, both
 // stateful and fields-grouped, spread over every server.
@@ -74,6 +80,10 @@ func TestFederationDrill(t *testing.T) {
 			WithRacks(rackOf),
 			WithClusters(clusterOf),
 			WithTCPTransport(),
+			// Raw frames: under LZ a tuple's encoded size depends on
+			// which batch the 1 ms age flush puts it in, so the byte
+			// ratio would vary with timing from run to run.
+			withWireCompression(transport.CompressionOff),
 			WithOptimizer(0, 0, 7),
 			WithMaxInFlight(4096),
 		}
@@ -142,14 +152,24 @@ func TestFederationDrill(t *testing.T) {
 
 	fedCross := float64(fedAfter.TierBytesSent[3]-fedBefore.TierBytesSent[3]) / windowTuples
 	flatCross := float64(flatAfter.TierBytesSent[3]-flatBefore.TierBytesSent[3]) / windowTuples
-	t.Logf("inter-cluster wire bytes/tuple: federated=%.1f flat=%.1f (%.1fx)",
-		fedCross, flatCross, flatCross/fedCross)
+	fedTuples := fedAfter.TierTuplesSent[3] - fedBefore.TierTuplesSent[3]
+	flatTuples := flatAfter.TierTuplesSent[3] - flatBefore.TierTuplesSent[3]
+	t.Logf("inter-cluster wire bytes/tuple: federated=%.3f flat=%.3f (%.2fx); tuples %d vs %d",
+		fedCross, flatCross, flatCross/fedCross, fedTuples, flatTuples)
 	if flatCross <= 0 {
 		t.Fatal("cluster-blind baseline sent no inter-cluster bytes; drill is not exercising the link")
 	}
 	if flatCross < 3*fedCross {
 		t.Fatalf("inter-cluster wire bytes/tuple: federated %.1f vs flat %.1f, want >= 3x reduction",
 			fedCross, flatCross)
+	}
+	// Which tuples cross the cluster link is fixed by the seeded workload
+	// and optimizer alone, so the tuple counts behind the byte ratio are
+	// exact.
+	const wantFedTuples, wantFlatTuples = 444, 2546
+	if fedTuples != wantFedTuples || flatTuples != wantFlatTuples {
+		t.Fatalf("inter-cluster tuples: federated %d vs flat %d, want exactly %d vs %d",
+			fedTuples, flatTuples, wantFedTuples, wantFlatTuples)
 	}
 	// The per-tier counters must account for every data tuple written.
 	var tierSum uint64

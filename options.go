@@ -7,6 +7,7 @@ import (
 	"github.com/locastream/locastream/internal/core"
 	"github.com/locastream/locastream/internal/simnet"
 	"github.com/locastream/locastream/internal/topology"
+	"github.com/locastream/locastream/internal/transport"
 )
 
 // options collects the tunables shared by App and Simulation.
@@ -34,6 +35,9 @@ type options struct {
 	stateDir       string
 	autoscaleMin   int
 	autoscaleMax   int
+	// wireCompression is the TCP transport's data-frame encoding; the
+	// zero value is the transport default (dictionary + LZ).
+	wireCompression transport.Compression
 }
 
 func defaultOptions() options {
