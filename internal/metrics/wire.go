@@ -82,11 +82,16 @@ type WireStats struct {
 	// headers included; BytesSent above is what they actually cost on
 	// the wire. CompressedFramesSent counts data frames that went out LZ-
 	// wrapped (the rest fell back to their raw form because compression
-	// did not shrink them). DictFramesSent/DictEntriesSent/DictBytesSent
+	// did not save 1/8 of the payload, or was not tried). LZAttempts
+	// counts the LZ passes run over staged batches, so
+	// CompressedFramesSent/LZAttempts is the attempt hit rate; on an
+	// incompressible stream the back-off keeps attempts to one per few
+	// flushes. DictFramesSent/DictEntriesSent/DictBytesSent
 	// cover the in-band dictionary announcements; DictHits/DictMisses
 	// count string fields encoded as dictionary references vs. inline.
 	RawBytesSent         uint64 `json:"raw_bytes_sent"`
 	CompressedFramesSent uint64 `json:"compressed_frames_sent"`
+	LZAttempts           uint64 `json:"lz_attempts"`
 	DictFramesSent       uint64 `json:"dict_frames_sent"`
 	DictEntriesSent      uint64 `json:"dict_entries_sent"`
 	DictBytesSent        uint64 `json:"dict_bytes_sent"`
@@ -104,8 +109,11 @@ type WireStats struct {
 	DictEntriesRecv      uint64 `json:"dict_entries_received"`
 
 	// EncodeNanos is the cumulative wall time spent binary-encoding
-	// tuples into batch buffers.
-	EncodeNanos uint64 `json:"encode_nanos"`
+	// tuples into batch buffers, estimated from EncodeSamples: the
+	// transport times one tuple in 64 per connection and weights it
+	// ×64.
+	EncodeNanos   uint64 `json:"encode_nanos"`
+	EncodeSamples uint64 `json:"encode_samples"`
 }
 
 // TuplesPerFrame is the mean data batch size actually achieved.
@@ -215,6 +223,7 @@ type WireMeter struct {
 
 	rawBytesSent         atomic.Uint64
 	compressedFramesSent atomic.Uint64
+	lzAttempts           atomic.Uint64
 	dictFramesSent       atomic.Uint64
 	dictEntriesSent      atomic.Uint64
 	dictBytesSent        atomic.Uint64
@@ -230,7 +239,8 @@ type WireMeter struct {
 	dictFramesRecv       atomic.Uint64
 	dictEntriesRecv      atomic.Uint64
 
-	encodeNanos atomic.Uint64
+	encodeNanos   atomic.Uint64
+	encodeSamples atomic.Uint64
 }
 
 // RecordDataFrameSent folds in one flushed data frame: tuples tuples,
@@ -341,8 +351,16 @@ func (m *WireMeter) RecordCompressedFrameReceived() {
 	m.compressedFramesRecv.Add(1)
 }
 
-// RecordEncode folds in the wall time of one tuple's binary encode.
+// RecordLZAttempt folds in one LZ pass over a staged batch, whether or
+// not its output was kept.
+func (m *WireMeter) RecordLZAttempt() {
+	m.lzAttempts.Add(1)
+}
+
+// RecordEncode folds in one sampled tuple encode, nanos being its wall
+// time already scaled by the sampling weight.
 func (m *WireMeter) RecordEncode(nanos int64) {
+	m.encodeSamples.Add(1)
 	if nanos > 0 {
 		m.encodeNanos.Add(uint64(nanos))
 	}
@@ -380,6 +398,7 @@ func (m *WireMeter) Snapshot() WireStats {
 		FlushClose:           m.flushClose.Load(),
 		RawBytesSent:         m.rawBytesSent.Load(),
 		CompressedFramesSent: m.compressedFramesSent.Load(),
+		LZAttempts:           m.lzAttempts.Load(),
 		DictFramesSent:       m.dictFramesSent.Load(),
 		DictEntriesSent:      m.dictEntriesSent.Load(),
 		DictBytesSent:        m.dictBytesSent.Load(),
@@ -394,5 +413,6 @@ func (m *WireMeter) Snapshot() WireStats {
 		DictFramesRecv:       m.dictFramesRecv.Load(),
 		DictEntriesRecv:      m.dictEntriesRecv.Load(),
 		EncodeNanos:          m.encodeNanos.Load(),
+		EncodeSamples:        m.encodeSamples.Load(),
 	}
 }

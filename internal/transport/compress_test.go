@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -50,6 +51,12 @@ func TestLZRoundTrip(t *testing.T) {
 	if comp := lzAppendCompress(nil, repetitive, &table); len(comp) >= len(repetitive)/4 {
 		t.Fatalf("repetitive text compressed to %d of %d bytes", len(comp), len(repetitive))
 	}
+	// The match-cost rule prices length extensions exactly.
+	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1 << 35, 1<<64 - 1} {
+		if got, want := lzUvarintLen(v), len(binary.AppendUvarint(nil, v)); got != want {
+			t.Fatalf("lzUvarintLen(%d) = %d, want %d", v, got, want)
+		}
+	}
 }
 
 // TestLZDecompressBounded hammers the decoder with truncated and
@@ -74,6 +81,51 @@ func TestLZDecompressBounded(t *testing.T) {
 			t.Fatalf("mutation trial %d produced %d bytes, limit %d", trial, len(out), len(src))
 		}
 	}
+}
+
+// FuzzLZRoundTrip checks the compressor against its decoder: compress
+// then decompress is the identity, and the output never exceeds the
+// input by more than LZ4's worst-case bound (len + len/255 + 16) — nor
+// the tighter lzMaxCompressedLen the transport sizes its scratch by.
+// Besides the round-trip cases above, the seeds hold the shape the
+// match-cost rule exists for: literal runs past the one-byte length
+// extension, each followed by a 4-byte repeat whose sequence would cost
+// one byte more than the bytes it covers.
+func FuzzLZRoundTrip(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	random := make([]byte, 4<<10)
+	rng.Read(random)
+	var longLits []byte
+	for i := 0; i < 64; i++ {
+		lits := make([]byte, 150)
+		rng.Read(lits)
+		longLits = append(append(longLits, lits...), "ABCD"...)
+	}
+	for _, src := range [][]byte{
+		{}, {7}, []byte("abc"),
+		bytes.Repeat([]byte("the quick brown fox "), 64),
+		bytes.Repeat([]byte{0xAB}, 1000),
+		random,
+		append(bytes.Repeat([]byte("hot key "), 100), random[:512]...),
+		longLits,
+	} {
+		f.Add(src)
+	}
+	table := new([1 << lzHashBits]int32)
+	f.Fuzz(func(t *testing.T, src []byte) {
+		comp := lzAppendCompress(nil, src, table)
+		if limit := len(src) + len(src)/255 + 16; len(comp) > limit || len(comp) > lzMaxCompressedLen(len(src)) {
+			t.Fatalf("%d bytes compressed to %d, bound %d (lzMaxCompressedLen %d)",
+				len(src), len(comp), limit, lzMaxCompressedLen(len(src)))
+		}
+		got, err := lzAppendDecompress(nil, comp, len(src))
+		if err != nil {
+			t.Fatalf("decompress: %v", err)
+		}
+		if !bytes.Equal(got, src) {
+			t.Fatalf("round trip mismatch: %d bytes in, %d out", len(src), len(got))
+		}
+	})
 }
 
 // --- dictionary ---
@@ -546,5 +598,48 @@ func TestSkewedWorkloadCompressionSavesBytes(t *testing.T) {
 	}
 	if r := auto.CompressionRatio(); r <= 1.0 {
 		t.Fatalf("compression ratio %.3f, want > 1.0", r)
+	}
+}
+
+// TestIncompressibleStreamSkipsLZ drives the synthetic benchmark's
+// traffic shape under CompressionAuto — 64 repeated keys, every tuple
+// carrying a distinct random 4 KiB payload — which LZ cannot shrink by
+// any useful amount, only by the few bytes of repeated tuple headers.
+// No frame may go out compressed, and the back-off must hold the LZ
+// pass to one attempt per lzDeferFlushes+1 flushes.
+func TestIncompressibleStreamSkipsLZ(t *testing.T) {
+	const payload = 4 << 10
+	rng := rand.New(rand.NewSource(13))
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
+	msgs := make([]Message, 600)
+	random := make([]byte, len(msgs)*payload)
+	rng.Read(random)
+	pays := string(random)
+	for i := range msgs {
+		k := keys[rng.Intn(len(keys))]
+		msgs[i] = Message{
+			Kind: KindData, To: Addr{Op: "B", Instance: rng.Intn(4)},
+			KeyOp: "A", Key: k,
+			Values: []string{k, keys[rng.Intn(len(keys))], pays[i*payload : (i+1)*payload], fmt.Sprintf("%04d", i)},
+		}
+	}
+	opts := NodeOptions{FlushBytes: 24 << 10, FlushInterval: 50 * time.Millisecond}
+	got, st := wirePipe(t, CompressionAuto, opts, msgs)
+	if len(got) != len(msgs) {
+		t.Fatalf("delivered %d of %d tuples", len(got), len(msgs))
+	}
+	t.Logf("%d frames, %d LZ attempts, %d compressed, ratio %.4f",
+		st.FramesSent, st.LZAttempts, st.CompressedFramesSent, st.CompressionRatio())
+	if st.CompressedFramesSent != 0 {
+		t.Fatalf("%d of %d frames went out compressed", st.CompressedFramesSent, st.FramesSent)
+	}
+	if st.LZAttempts == 0 {
+		t.Fatal("no LZ attempt recorded")
+	}
+	if limit := (st.FramesSent + lzDeferFlushes) / (lzDeferFlushes + 1); st.LZAttempts > limit {
+		t.Fatalf("%d LZ attempts over %d flushes, want <= %d", st.LZAttempts, st.FramesSent, limit)
 	}
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 )
 
 // A small LZ77 pass for frame payloads, stdlib-only (ROADMAP rules out
@@ -20,14 +21,31 @@ import (
 // carries literals only: it ends the block without an offset, signalled
 // by offset bytes being absent because the input is exhausted.
 //
-// The compressor is greedy with a single 8K-entry hash table and spends
-// ~1 byte of bookkeeping per 16 input bytes on incompressible data —
-// cheap enough to attempt on every frame and keep only when it shrinks.
+// The compressor is greedy with a single 8K-entry hash table. On
+// incompressible input it accelerates the way Snappy and LZ4 do: after
+// 32 consecutive misses the probe stride starts to grow (see
+// lzSkipLog2), and the next match resets it to one. A 32KiB random
+// buffer then costs a few hundred probes rather than 32K (GB/s instead
+// of ~150MB/s), while data with repeats finds them before the stride
+// has grown. The stride changes which matches
+// are found, never the format: lzAppendDecompress reads every stream
+// the stride-one compressor wrote.
+//
+// A match is emitted only when its sequence costs no more bytes than
+// the input it covers, so the output never exceeds the input by more
+// than the terminal sequence's token and literal-length varint:
+// lzMaxCompressedLen bounds it, and callers size scratch buffers by it.
 const (
 	lzMinMatch  = 4
 	lzMaxOffset = 65535
 	lzHashBits  = 13
 	lzHashShift = 64 - lzHashBits
+
+	// lzSkipLog2 sets the acceleration: the stride is skip>>lzSkipLog2,
+	// with skip starting at 1<<lzSkipLog2 and growing by the stride on
+	// every miss — 32 misses at stride one, 16 at stride two, and so on.
+	lzSkipLog2    = 5
+	lzSkipTrigger = 1 << lzSkipLog2
 )
 
 var errLZCorrupt = errors.New("transport: corrupt compressed payload")
@@ -42,8 +60,9 @@ func lzLoad32(p []byte, i int) uint32 {
 }
 
 // lzAppendCompress appends the compressed form of src to dst and
-// returns it. The caller compares lengths and keeps the raw payload
-// when compression did not help.
+// returns it; at most lzMaxCompressedLen(len(src)) bytes are appended.
+// The caller compares lengths and keeps the raw payload when
+// compression did not save enough.
 func lzAppendCompress(dst, src []byte, table *[1 << lzHashBits]int32) []byte {
 	// Positions stored +1 so the zero value means "empty"; stale entries
 	// from a previous frame are validated by byte comparison anyway, but
@@ -54,29 +73,62 @@ func lzAppendCompress(dst, src []byte, table *[1 << lzHashBits]int32) []byte {
 	var (
 		pos     int // next byte to process
 		litFrom int // start of the unemitted literal run
+		skip    = lzSkipTrigger
 	)
 	for pos+4 <= len(src) { // lzLoad32 needs 4 readable bytes at pos
 		h := lzHash(lzLoad32(src, pos))
 		cand := int(table[h]) - 1
 		table[h] = int32(pos + 1)
-		if cand < 0 || pos-cand > lzMaxOffset || lzLoad32(src, cand) != lzLoad32(src, pos) {
-			pos++
-			continue
+		matchLen := 0
+		if cand >= 0 && pos-cand <= lzMaxOffset && lzLoad32(src, cand) == lzLoad32(src, pos) {
+			matchLen = lzMinMatch
+			for pos+matchLen < len(src) && src[cand+matchLen] == src[pos+matchLen] {
+				matchLen++
+			}
 		}
-		// Extend the match forward.
-		matchLen := lzMinMatch
-		for pos+matchLen < len(src) && src[cand+matchLen] == src[pos+matchLen] {
-			matchLen++
+		// A miss, or a short match after a literal run long enough that
+		// its sequence would cost more than the bytes it covers.
+		if matchLen == 0 || lzSeqOverhead(pos-litFrom, matchLen) > matchLen {
+			pos += skip >> lzSkipLog2
+			skip += skip >> lzSkipLog2
+			continue
 		}
 		dst = lzAppendSeq(dst, src[litFrom:pos], pos-cand, matchLen)
 		pos += matchLen
 		litFrom = pos
+		skip = lzSkipTrigger
 	}
 	// Trailing literals (no offset follows: decoder sees input end).
 	if litFrom < len(src) || len(src) == 0 {
 		dst = lzAppendSeq(dst, src[litFrom:], 0, 0)
 	}
 	return dst
+}
+
+// lzMaxCompressedLen bounds lzAppendCompress's output for n input
+// bytes: every match sequence costs at most the bytes it covers, so only
+// the terminal sequence's token and literal-length varint are extra.
+func lzMaxCompressedLen(n int) int {
+	return n + 1 + binary.MaxVarintLen64
+}
+
+// lzSeqOverhead is the encoded size of a sequence with litLen literals
+// and a matchLen match, minus the literals themselves: the token, the
+// offset and whichever length extensions the codes overflow into.
+func lzSeqOverhead(litLen, matchLen int) int {
+	n := 3 // token + 2-byte offset
+	if litLen >= 15 {
+		n += lzUvarintLen(uint64(litLen - 15))
+	}
+	if matchLen-lzMinMatch >= 15 {
+		n += lzUvarintLen(uint64(matchLen - lzMinMatch - 15))
+	}
+	return n
+}
+
+// lzUvarintLen is the length binary.AppendUvarint gives v: 7 bits a byte.
+func lzUvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // lzAppendSeq emits one sequence. matchLen == 0 means the terminal

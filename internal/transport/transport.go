@@ -122,6 +122,13 @@ const (
 // the token overhead eats the win and the scan cost is pure loss.
 const lzMinTry = 512
 
+// lzMinSavingLog2 is the keep rule for an LZ attempt (Snappy's framing
+// rule): the compressed frame goes out only when it saves at least
+// 1/8 of the payload. A frame of incompressible payloads still shrinks
+// by a few bytes — its tuple headers repeat — and counting that as a
+// win would keep the back-off below from ever arming.
+const lzMinSavingLog2 = 3
+
 // lzDeferFlushes is the back-off after an unproductive LZ attempt: skip
 // this many flushes before trying again. Dictionary-interned payloads
 // are often already dense; the back-off keeps the encoder from
@@ -328,6 +335,11 @@ type peerConn struct {
 	timer  *time.Timer
 	broken bool
 
+	// encoded counts data tuples ever encoded on this connection; the
+	// encode-time sampler keys off it, not off batchN, so a sample lands
+	// on every 64th tuple whatever the frame boundaries.
+	encoded uint64
+
 	q        []queuedFrame // staged frames awaiting the flusher
 	qSpare   []queuedFrame // flusher's previous queue, reused
 	qBytes   int           // sum of len(buf) over q
@@ -343,8 +355,9 @@ type peerConn struct {
 	dict     *sendDict
 	rawBytes int
 
-	// LZ scratch, allocated lazily on the first attempt. lzDefer counts
-	// flushes to skip after an unproductive attempt.
+	// LZ scratch, taken on the first attempt and again after a kept
+	// frame hands it to the queue. lzDefer counts flushes to skip after
+	// an unproductive attempt.
 	lzBuf   []byte
 	lzTable *[1 << lzHashBits]int32
 	lzDefer int
@@ -361,6 +374,23 @@ func (pc *peerConn) takeBufLocked() []byte {
 		}
 	}
 	return make([]byte, frameHeaderLen, frameHeaderLen+4096)
+}
+
+// lzScratchLocked returns an empty buffer with room for the compressed
+// frame of an n-byte payload at its worst case, so the compressor never
+// regrows it: the retained scratch when it is big enough, else a
+// recycled buffer from the top of the free list, else a fresh one.
+func (pc *peerConn) lzScratchLocked(n int) []byte {
+	need := frameHeaderLen + 1 + binary.MaxVarintLen64 + lzMaxCompressedLen(n)
+	if cap(pc.lzBuf) >= need {
+		return pc.lzBuf[:0]
+	}
+	if k := len(pc.free) - 1; k >= 0 && cap(pc.free[k]) >= need {
+		b := pc.free[k]
+		pc.free = pc.free[:k]
+		return b[:0]
+	}
+	return make([]byte, 0, need)
 }
 
 // recycleBufLocked returns a written frame's buffer to the free list.
@@ -553,10 +583,11 @@ func (n *Node) Send(peer int, msg Message) error {
 	return n.sendControlLocked(peer, pc, &msg)
 }
 
-// encodeSampleMask makes encode-time metering sample 1-in-64 tuples:
-// two clock reads per tuple would cost more than the encode itself, so
-// the sampled duration is recorded with 64× weight instead. The
-// resulting EncodeNanos is an estimate — fine for a monitoring counter.
+// encodeSampleMask makes encode-time metering sample 1-in-64 tuples of
+// each connection's stream: two clock reads per tuple would cost more
+// than the encode itself, so the sampled duration is recorded with 64×
+// weight instead. The resulting EncodeNanos is an estimate — fine for a
+// monitoring counter.
 const encodeSampleMask = 63
 
 // sendDataLocked encodes one tuple into the peer's batch, staging on
@@ -566,13 +597,14 @@ const encodeSampleMask = 63
 // flusher's queue is saturated the sender waits here — backpressure,
 // not loss.
 func (n *Node) sendDataLocked(peer int, pc *peerConn, msg *Message) error {
-	if m := n.opts.Meter; m != nil && pc.batchN&encodeSampleMask == 0 {
+	if m := n.opts.Meter; m != nil && pc.encoded&encodeSampleMask == 0 {
 		start := time.Now()
 		pc.appendLocked(msg)
 		m.RecordEncode(int64(time.Since(start)) * (encodeSampleMask + 1))
 	} else {
 		pc.appendLocked(msg)
 	}
+	pc.encoded++
 	pc.batchN++
 	flushBytes := int(n.flushBytes.Load())
 	if len(pc.buf)-frameHeaderLen >= flushBytes {
@@ -642,7 +674,7 @@ func (pc *peerConn) appendLocked(msg *Message) {
 // stageBatchLocked hands the peer's pending batch to the flusher as one
 // data frame — preceded by a dictionary-announce frame when tuples in
 // the batch promoted new entries, and wrapped in a compressed frame
-// when the LZ pass actually shrank it. The tuples are credited to
+// when the LZ pass shrank it by at least 1/8. The tuples are credited to
 // FlushedHandler here, before the flusher can possibly write them (the
 // receiver decrements on delivery, so the credit must come first); a
 // later write failure takes the credit back and reports the loss.
@@ -688,12 +720,15 @@ func (n *Node) stageBatchLocked(peer int, pc *peerConn, reason metrics.FlushReas
 			if pc.lzTable == nil {
 				pc.lzTable = new([1 << lzHashBits]int32)
 			}
+			if m := n.opts.Meter; m != nil {
+				m.RecordLZAttempt()
+			}
 			payload := pc.buf[frameHeaderLen:]
-			lz := append(pc.lzBuf[:0], 0, 0, 0, 0, 0, typ)
+			lz := append(pc.lzScratchLocked(len(payload)), 0, 0, 0, 0, 0, typ)
 			lz = binary.AppendUvarint(lz, uint64(len(payload)))
 			lz = lzAppendCompress(lz, payload, pc.lzTable)
 			pc.lzBuf = lz
-			if len(lz) < len(pc.buf) {
+			if len(pc.buf)-len(lz) >= len(payload)>>lzMinSavingLog2 {
 				putFrameHeader(lz, frameCompressed)
 				frame = lz
 				compressed = true
@@ -704,7 +739,7 @@ func (n *Node) stageBatchLocked(peer int, pc *peerConn, reason metrics.FlushReas
 	}
 	if compressed {
 		// The queue takes ownership of the LZ buffer; the batch buffer is
-		// immediately reusable. The next LZ attempt re-grows its scratch.
+		// immediately reusable. The next LZ attempt takes a recycled one.
 		pc.lzBuf = nil
 		pc.buf = pc.buf[:frameHeaderLen]
 	} else {

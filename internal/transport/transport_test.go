@@ -552,6 +552,27 @@ func TestWireMeterCounts(t *testing.T) {
 	}
 }
 
+// TestEncodeSamplerIgnoresFrameBoundaries pins the encode-time sampler
+// to one tuple in 64 of the connection's stream: with frames far
+// shorter than 64 tuples, a sampler keyed to the batch position would
+// time the first tuple of every frame and inflate EncodeNanos.
+func TestEncodeSamplerIgnoresFrameBoundaries(t *testing.T) {
+	msgs := make([]Message, 640)
+	for i := range msgs {
+		msgs[i] = Message{Kind: KindData, KeyOp: "A", Key: "k", Padding: 100,
+			Values: []string{strings.Repeat("v", 100)}}
+	}
+	opts := NodeOptions{FlushBytes: MinFlushBytes, FlushInterval: 50 * time.Millisecond}
+	_, st := wirePipe(t, CompressionOff, opts, msgs)
+	if tpf := st.TuplesPerFrame(); tpf >= encodeSampleMask+1 {
+		t.Fatalf("%.1f tuples/frame: the test needs frames shorter than %d tuples", tpf, encodeSampleMask+1)
+	}
+	if want := uint64(len(msgs) / (encodeSampleMask + 1)); st.EncodeSamples != want {
+		t.Fatalf("%d of %d tuples sampled over %d frames, want exactly %d",
+			st.EncodeSamples, len(msgs), st.FramesSent, want)
+	}
+}
+
 func waitGroupWithin(t *testing.T, wg *sync.WaitGroup, d time.Duration) {
 	t.Helper()
 	done := make(chan struct{})

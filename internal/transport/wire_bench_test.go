@@ -1,8 +1,8 @@
 package transport
 
 import (
-	"encoding/gob"
-	"net"
+	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -79,8 +79,7 @@ func benchWireForward(b *testing.B, comp Compression) {
 // BenchmarkWireForward is the gated end-to-end number (BENCH_5.json):
 // the default encoding, dictionary interning plus the opportunistic LZ
 // pass. Compare with BenchmarkWireForwardRaw for the CPU cost of
-// compression and with BenchmarkGobForward — the per-message gob path
-// this protocol replaced — for the batching/binary speedup.
+// compression.
 func BenchmarkWireForward(b *testing.B) { benchWireForward(b, CompressionAuto) }
 
 // BenchmarkWireForwardRaw is the same pipeline with compression off:
@@ -88,16 +87,19 @@ func BenchmarkWireForward(b *testing.B) { benchWireForward(b, CompressionAuto) }
 // stays visible.
 func BenchmarkWireForwardRaw(b *testing.B) { benchWireForward(b, CompressionOff) }
 
+// skewedKeys are the hot keys of the skewed keyed benchmarks.
+var skewedKeys = [16]string{
+	"Asia", "Europe", "Africa", "Oceania", "Americas", "Antarctica",
+	"#golang", "#storm", "#streams", "#kafka", "#flink", "#samza",
+	"hot-0", "hot-1", "hot-2", "hot-3",
+}
+
 // BenchmarkWireForwardSkewed drives a Zipf-ish keyed stream (16 hot
 // keys, the workload the dictionary exists for) under each compression
 // mode and reports wire-B/tuple — the on-wire bytes-per-tuple number
 // the bench gate pins so compression wins cannot silently regress.
 func BenchmarkWireForwardSkewed(b *testing.B) {
-	keys := [16]string{
-		"Asia", "Europe", "Africa", "Oceania", "Americas", "Antarctica",
-		"#golang", "#storm", "#streams", "#kafka", "#flink", "#samza",
-		"hot-0", "hot-1", "hot-2", "hot-3",
-	}
+	keys := skewedKeys
 	for _, mode := range []struct {
 		name string
 		comp Compression
@@ -228,70 +230,6 @@ func BenchmarkWireForwardTiered(b *testing.B) {
 			float64(st.TierTuplesSent[metrics.InterClusterTier])/float64(st.TuplesSent),
 			"xcluster-share")
 	}
-}
-
-// BenchmarkGobForward is the retained baseline: the pre-batching wire
-// path, one gob-encoded Message per Send over the same TCP loopback.
-// It exists so the BenchmarkWireForward speedup stays measurable
-// forever, not just in this PR's description.
-func BenchmarkGobForward(b *testing.B) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ln.Close()
-
-	var (
-		received atomic.Int64
-		target   atomic.Int64
-	)
-	done := make(chan struct{}, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		dec := gob.NewDecoder(conn)
-		for {
-			var msg Message
-			if err := dec.Decode(&msg); err != nil {
-				return
-			}
-			if t := target.Load(); t > 0 && received.Add(1) >= t {
-				select {
-				case done <- struct{}{}:
-				default:
-				}
-			}
-		}
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-
-	msg := benchMessage()
-	target.Store(4096)
-	for i := 0; i < 4096; i++ {
-		if err := enc.Encode(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	awaitBench(b, done)
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	target.Store(received.Load() + int64(b.N))
-	for i := 0; i < b.N; i++ {
-		if err := enc.Encode(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	awaitBench(b, done)
 }
 
 // BenchmarkWireWritev measures the flusher's vectored-write batching at
@@ -431,6 +369,50 @@ func BenchmarkWireEncode(b *testing.B) {
 			buf = buf[:frameHeaderLen]
 		}
 		buf = appendTuple(buf, &msg)
+	}
+}
+
+// BenchmarkLZCompress isolates the LZ pass on the two payload shapes a
+// CompressionAuto connection stages: a 32 KiB random buffer (the
+// synthetic benchmark's 4 KiB payloads, which LZ cannot shrink) and a
+// dictionary-encoded 32 KiB batch of a skewed keyed stream (the hot
+// keys of BenchmarkWireForwardSkewed, one tuple in ten on a cold key).
+// MB/s is input scanned; out/in is the compressed size over the input
+// size.
+func BenchmarkLZCompress(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	random := make([]byte, 32<<10)
+	rng.Read(random)
+
+	d := newSendDict()
+	msg := benchMessage()
+	var skewed []byte
+	for i := 0; len(skewed) < 32<<10; i++ {
+		msg.Key = skewedKeys[rng.Intn(len(skewedKeys))]
+		if rng.Intn(10) == 0 {
+			msg.Key = fmt.Sprintf("cold-%d", i)
+		}
+		msg.Values[0] = msg.Key
+		msg.Values[1] = skewedKeys[rng.Intn(len(skewedKeys))]
+		msg.To.Instance = rng.Intn(4)
+		skewed = appendTupleDict(skewed, &msg, d)
+	}
+
+	for _, in := range []struct {
+		name string
+		src  []byte
+	}{{"random", random}, {"skewed", skewed}} {
+		b.Run(in.name, func(b *testing.B) {
+			table := new([1 << lzHashBits]int32)
+			dst := make([]byte, 0, lzMaxCompressedLen(len(in.src)))
+			b.SetBytes(int64(len(in.src)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = lzAppendCompress(dst[:0], in.src, table)
+			}
+			b.ReportMetric(float64(len(dst))/float64(len(in.src)), "out/in")
+		})
 	}
 }
 
